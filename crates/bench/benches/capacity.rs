@@ -406,7 +406,7 @@ fn bench_orb_capacity(epoch: Instant) {
     // Calibrate the *aggregate* closed-loop capacity: all connections
     // hammering concurrently for a fixed window. (Per-connection rtt
     // times the connection count wildly overestimates small runners,
-    // where every sender, the poll loop and the workers share cores.)
+    // where every sender and the reactor's event loops share cores.)
     let payload = [0x5Au8; 64];
     let cal_window = Duration::from_millis(200);
     let t0 = Instant::now();

@@ -1,7 +1,7 @@
 //! `orb_load` — open-loop GIOP load against the reactor ORB server.
 //!
 //! Measures what the event-driven transport (DESIGN.md §5h) was built
-//! for: many concurrent connections multiplexed by one poll loop. For
+//! for: many concurrent connections multiplexed by a few event loops. For
 //! each connection count (default 1k/4k/10k) the bench:
 //!
 //! 1. opens N client connections to a reactor-transport
@@ -202,7 +202,7 @@ impl Driver {
         let mut events: Vec<PollEvent> = Vec::new();
         loop {
             self.poller
-                .wait(&mut events, Some(Duration::from_millis(50)))
+                .wait(&mut events, 256, Some(Duration::from_millis(50)))
                 .expect("client poll");
             if events.is_empty() {
                 return;
@@ -250,7 +250,11 @@ impl Driver {
                 break; // server wedged: report what we have
             }
             self.poller
-                .wait(&mut events, Some(timeout.min(Duration::from_millis(20))))
+                .wait(
+                    &mut events,
+                    256,
+                    Some(timeout.min(Duration::from_millis(20))),
+                )
                 .expect("client poll");
             let evs = std::mem::take(&mut events);
             self.drain(&evs, epoch, &mut scratch, &mut latencies);

@@ -394,6 +394,7 @@ impl AppBuilder {
                 Dispatch::Async {
                     pool,
                     inflight: Arc::new(AtomicUsize::new(0)),
+                    pending: Arc::new(AtomicUsize::new(0)),
                     buffer_size: attrs.buffer_size,
                     admission: self
                         .port_admission

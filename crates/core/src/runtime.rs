@@ -59,6 +59,11 @@ pub(crate) enum Dispatch {
     Async {
         pool: Arc<ThreadPool<rtmem::Ctx>>,
         inflight: Arc<AtomicUsize>,
+        /// Envelopes admitted whose handler has not yet returned. Unlike
+        /// `inflight` (buffer occupancy, freed when a worker dequeues),
+        /// this drops only after `process_envelope`, so
+        /// [`App::wait_quiescent`] cannot return while a handler runs.
+        pending: Arc<AtomicUsize>,
         buffer_size: usize,
         /// Per-priority-band admission watermarks: below `buffer_size`,
         /// low bands are refused first so the remaining slots stay
@@ -66,6 +71,22 @@ pub(crate) enum Dispatch {
         /// every band to full capacity (the historical behaviour).
         admission: rtplatform::fault::AdmissionPolicy,
     },
+}
+
+/// One count in an async port's `pending` tally, released on drop.
+struct PendingGuard(Arc<AtomicUsize>);
+
+impl PendingGuard {
+    fn enter(count: &Arc<AtomicUsize>) -> PendingGuard {
+        count.fetch_add(1, Ordering::SeqCst);
+        PendingGuard(Arc::clone(count))
+    }
+}
+
+impl Drop for PendingGuard {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::SeqCst);
+    }
 }
 
 pub(crate) struct InPortInfo {
@@ -594,6 +615,7 @@ impl AppCore {
             Dispatch::Async {
                 pool,
                 inflight,
+                pending,
                 buffer_size,
                 admission,
             } => {
@@ -636,7 +658,11 @@ impl AppCore {
                 let priority = env.priority;
                 let inflight2 = Arc::clone(inflight);
                 let mut env_cell = Some(env);
+                // Dropped with the job: after the handler returns, or
+                // unrun when the pool refuses or discards it.
+                let handled = PendingGuard::enter(pending);
                 let accepted = pool.execute(priority, move |ctx, prio| {
+                    let _handled = handled;
                     let env = env_cell.take().expect("job runs once");
                     inflight2.fetch_sub(1, Ordering::SeqCst);
                     let _ = core.process_envelope(ctx, to, env, prio, true);
@@ -1211,12 +1237,13 @@ impl App {
         }
     }
 
-    /// Waits until all asynchronous ports are drained (best effort).
+    /// Waits until every message admitted to an asynchronous port has
+    /// been handled (its handler returned); `false` on timeout.
     pub fn wait_quiescent(&self, timeout: Duration) -> bool {
         let deadline = std::time::Instant::now() + timeout;
         loop {
             let busy = self.core.in_ports.values().any(|p| match &p.dispatch {
-                Dispatch::Async { inflight, .. } => inflight.load(Ordering::SeqCst) > 0,
+                Dispatch::Async { pending, .. } => pending.load(Ordering::SeqCst) > 0,
                 Dispatch::Synchronous => false,
             });
             if !busy {

@@ -398,6 +398,50 @@ fn priority_order_respected_under_single_worker() {
     assert_eq!(seen[2].1, Priority::new(10));
 }
 
+/// `wait_quiescent` counts a message until its handler returns, not
+/// until a worker dequeues it: with the only handler blocked, it must
+/// time out, and succeed once the handler is released.
+#[test]
+fn wait_quiescent_waits_for_running_handler() {
+    let (entered_tx, entered_rx) = mpsc::channel();
+    let (release_tx, release_rx) = mpsc::channel::<()>();
+    let release_rx = Arc::new(std::sync::Mutex::new(release_rx));
+    let attrs = "<BufferSize>10</BufferSize><MinThreadpoolSize>1</MinThreadpoolSize><MaxThreadpoolSize>1</MaxThreadpoolSize>";
+    let app = AppBuilder::from_xml(CDL, &ccl(SYNC, attrs))
+        .unwrap()
+        .bind_message_type::<Num>("Num")
+        .register_handler("Ponger", "Request", move || {
+            let entered = entered_tx.clone();
+            let release = Arc::clone(&release_rx);
+            move |_msg: &mut Num, _ctx: &mut HandlerCtx<'_>| {
+                entered.send(()).unwrap();
+                // Bounded, so a failing assertion cannot leave the
+                // worker (and the app's drop, which joins it) hanging.
+                let _ = release
+                    .lock()
+                    .unwrap()
+                    .recv_timeout(Duration::from_secs(10));
+                Ok(())
+            }
+        })
+        .register_handler("Pinger", "Reply", || {
+            |_m: &mut Num, _c: &mut HandlerCtx<'_>| Ok(())
+        })
+        .build()
+        .unwrap();
+    app.start().unwrap();
+
+    app.send_to("Pong", "Request", Num { value: 1 }, Priority::NORM)
+        .unwrap();
+    entered_rx.recv_timeout(Duration::from_secs(5)).unwrap();
+    assert!(
+        !app.wait_quiescent(Duration::from_millis(20)),
+        "a handler is still running"
+    );
+    release_tx.send(()).unwrap();
+    assert!(app.wait_quiescent(Duration::from_secs(5)));
+}
+
 #[test]
 fn send_wrong_type_rejected() {
     let (app, _rx) = build_ping_pong(SYNC, SYNC);

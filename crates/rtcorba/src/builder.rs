@@ -37,9 +37,9 @@ use crate::OrbError;
 /// Which I/O model a server runs its connections on.
 #[derive(Debug, Clone, Copy)]
 pub enum Transport {
-    /// Event-driven: one poll-loop thread multiplexes every connection,
-    /// a worker pool dispatches complete frames (DESIGN.md §5h). The
-    /// default — scales past the thread-per-client wall.
+    /// Event-driven: a few event loops share one poller and each runs
+    /// a request on the loop that read it (DESIGN.md §5h). The default
+    /// — scales past the thread-per-client wall.
     Reactor(ReactorConfig),
     /// Paper-faithful acceptor + one reader thread per connection.
     Threaded,
@@ -90,7 +90,7 @@ impl ServerBuilder {
         self.transport(Transport::Loopback)
     }
 
-    /// Sets the reactor worker-pool size. Switches to the reactor
+    /// Sets the number of reactor event loops. Switches to the reactor
     /// transport if another one was selected.
     pub fn workers(self, workers: usize) -> ServerBuilder {
         let mut cfg = self.reactor_cfg();
@@ -98,8 +98,8 @@ impl ServerBuilder {
         self.reactor(cfg)
     }
 
-    /// Caps how many complete frames one connection's reactor inbox may
-    /// hold before newly arrived frames are shed (`reactor_shed_total`).
+    /// Caps how many complete frames one reactor turn on a connection
+    /// runs before further frames are shed (`reactor_shed_total`).
     /// Switches to the reactor transport if another one was selected.
     pub fn inbox_capacity(self, frames: usize) -> ServerBuilder {
         let mut cfg = self.reactor_cfg();

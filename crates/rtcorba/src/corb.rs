@@ -678,9 +678,9 @@ impl CompadresServer {
         Self::serve_reactor(registry, cfg)
     }
 
-    /// The event-driven reactor transport (DESIGN.md §5h): one poll-loop
-    /// thread multiplexes every connection and a small worker pool
-    /// injects complete frames into the POA component pipeline — the
+    /// The event-driven reactor transport (DESIGN.md §5h): a few event
+    /// loops multiplex every connection, and the loop that read a frame
+    /// injects it into the POA component pipeline — the
     /// same pipeline, spans and fault replies as the
     /// thread-per-connection path, minus the thread-per-client wall.
     pub(crate) fn serve_reactor(
@@ -852,7 +852,7 @@ fn reader_loop(app: &App, conn: Arc<dyn Connection>, shutdown: &AtomicBool) {
 
 /// Injects one already-framed GIOP message into the POA in-port. Both
 /// server I/O models funnel through here: the per-connection reader
-/// threads and the reactor's worker pool.
+/// threads and the reactor's event loops.
 ///
 /// A request carrying a [`crate::giop::TRACE_CONTEXT_SLOT`] is adopted
 /// into the server's journal before injection, so the POA pipeline's

@@ -1,6 +1,6 @@
-//! Event-driven server transport: one epoll reactor thread multiplexing
-//! every GIOP connection, a small fixed worker pool executing request
-//! handlers (DESIGN.md §5h).
+//! Event-driven server transport: a few event-loop threads share one
+//! epoll instance, and each request is handled on the loop that read it
+//! (DESIGN.md §5h).
 //!
 //! The thread-per-connection servers ([`crate::zen::ZenServer`],
 //! [`crate::corb::CompadresServer`]) are faithful to the paper's echo
@@ -9,93 +9,99 @@
 //! server-side I/O model while leaving the protocol, dispatch and
 //! memory-architecture layers untouched:
 //!
-//! * a **reactor thread** owns the listening socket and every accepted
-//!   connection (all nonblocking), waits on an
-//!   [`rtplatform::poll::Poller`], reassembles partial GIOP frames per
-//!   connection, and writes replies back with **vectored writes** that
-//!   coalesce whatever replies have queued since the last flush;
-//! * complete frames flow to a **fixed worker pool** over an
-//!   [`rtplatform::ring::MpmcRing`] readiness queue (workers park on an
-//!   [`rtplatform::park::Gate`] when idle). Scheduling is per
-//!   connection, actor-style: a connection is enqueued at most once, a
-//!   worker drains its inbox in FIFO order, and no two workers ever
-//!   process the same connection concurrently — so pipelined requests
-//!   on one connection are answered in order;
-//! * workers reply through a [`ReactorConn`] (a [`Connection`] whose
-//!   `send_frame` enqueues bytes on the connection's outbox and nudges
-//!   the reactor through an eventfd [`rtplatform::poll::Waker`]), which
-//!   means the existing handler pipelines — spans, fault replies,
-//!   service-context echoing — run unchanged.
+//! * `workers` **event loops** wait on one shared
+//!   [`rtplatform::poll::Poller`]. The listener and every accepted
+//!   (nonblocking) connection are registered
+//!   [one-shot](rtplatform::poll::Interest::oneshot), so each readiness
+//!   event reaches exactly one loop, which then **owns** the connection
+//!   for one turn: it reads once into the connection's reassembly
+//!   chain, carves complete GIOP frames, runs the [`FrameFn`] on each
+//!   inline, and re-arms the registration. No two loops ever process one
+//!   connection at once, so pipelined requests are answered in order,
+//!   and the single bounded read per turn keeps a firehose connection
+//!   from starving its neighbours;
+//! * handlers reply through a [`ReactorConn`] (a [`Connection`]) whose
+//!   `send_chain` **writes through** to the socket when nothing is
+//!   queued ahead. Only a partial write queues the remainder and arms
+//!   `EPOLLOUT`; the next writable turn flushes the queue with
+//!   **vectored writes** that coalesce every queued reply. The existing
+//!   handler pipelines — spans, fault replies, service-context echoing
+//!   — run unchanged. The eventfd [`rtplatform::poll::Waker`] only
+//!   interrupts the loops at shutdown.
 //!
 //! Observability (all on the server's [`Observer`]): `reactor_connections`
-//! gauge (+ high-water mark), `reactor_queue_depth` gauge, the
-//! `reactor_coalesced_writes` histogram (frames per vectored write),
-//! `reactor_wakeups_total`, `reactor_partial_frames_total`,
-//! `reactor_protocol_errors_total` and `reactor_backpressure_total`
-//! counters.
+//! gauge (+ high-water mark), the `reactor_coalesced_writes` histogram
+//! (frames per vectored write), and the counters
+//! `reactor_wakeups_total` (replies sent from outside the connection's
+//! turn that had to re-arm the poller to be flushed),
+//! `reactor_backpressure_total` (replies the socket could not take at
+//! once), `reactor_partial_frames_total`, `reactor_shed_total` and
+//! `reactor_protocol_errors_total`.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::io::{self, IoSlice, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use rtobs::{CounterId, GaugeId, HistId, Observer};
 use rtplatform::bufchain::{FrameBuf, RecvChain, SegPool};
-use rtplatform::park::Gate;
 use rtplatform::poll::{Interest, PollEvent, Poller, Waker};
-use rtplatform::ring::MpmcRing;
 use rtplatform::sync::Mutex;
 
 use crate::cdr::Endian;
 use crate::giop::{self, HEADER_LEN};
 use crate::transport::{Connection, TransportError};
 
-/// Token of the listening socket in the reactor's poller.
+/// Token of the listening socket in the shared poller.
 const TOKEN_LISTENER: u64 = 0;
-/// Token of the wakeup eventfd.
+/// Token of the shutdown eventfd.
 const TOKEN_WAKER: u64 = 1;
 /// First token handed to an accepted connection.
 const TOKEN_FIRST_CONN: u64 = 2;
 
-/// Frames a worker processes from one connection before requeueing it,
-/// so a firehose connection cannot starve its neighbours.
-const WORKER_BATCH: usize = 16;
+/// Events one loop takes per wait. A loop owns every connection whose
+/// event it took until it gets to it, so a large batch serializes ready
+/// connections on one loop while the others sleep (and lets one blocked
+/// handler delay its batch-mates); a small one leaves them to idle loops.
+const EVENTS_PER_WAIT: usize = 4;
+
+/// Shards of the connection table, so loops looking up different
+/// connections rarely meet on one lock.
+const CONN_SHARDS: usize = 16;
 
 /// Most buffer segments gathered into a single vectored write.
 const MAX_IOVECS: usize = 64;
 
 /// Segments pre-allocated in the receive pool. Each is `read_chunk`
-/// bytes; exhaustion falls back to heap segments (never blocks the
-/// reactor), it just loses the recycling benefit until frames drop.
+/// bytes; exhaustion falls back to heap segments (never blocks a loop),
+/// it just loses the recycling benefit until frames drop.
 const RECV_POOL_SEGS: usize = 16;
 
 /// Sizing and limits for a [`ReactorServer`].
 #[derive(Debug, Clone, Copy)]
 pub struct ReactorConfig {
-    /// Worker threads executing frame handlers. Keep this at or below
-    /// the server's per-request scope-pool size (the Compadres server
-    /// CCL provisions 4 level-3 scopes): the pool then never blocks a
-    /// worker on scope exhaustion.
+    /// Event-loop threads. Each runs frame handlers inline, so this is
+    /// also the most requests handled at once: keep it at or below the
+    /// server's per-request scope-pool size (the Compadres server CCL
+    /// provisions 4 level-3 scopes), and the pool then never blocks a
+    /// loop on scope exhaustion.
     pub workers: usize,
     /// Largest accepted GIOP body; a header declaring more is a
     /// protocol violation (MessageError + close), not an allocation.
     pub max_frame: usize,
     /// Segment size of the receive buffer pool — the most bytes one
-    /// `read` call can deliver into a segment.
+    /// `read` call, and so one turn, can deliver.
     pub read_chunk: usize,
-    /// Capacity of the readiness queue between reactor and workers
-    /// (connections, not frames; rounded up to a power of two).
-    pub queue_capacity: usize,
-    /// Most complete frames one connection's inbox may hold before the
-    /// reactor sheds newly carved frames (`reactor_shed_total`). GIOP
-    /// frames carry no priority, so this is a coarse per-connection
-    /// overload valve — the shed client sees its recv deadline, not a
-    /// wedged reactor. Priority-aware shedding happens downstream at the
-    /// component in-ports (see `rtplatform::fault::AdmissionPolicy`).
+    /// Most complete frames one turn runs; further frames carved in the
+    /// same turn are shed (`reactor_shed_total`). GIOP frames carry no
+    /// priority, so this is a coarse per-connection overload valve — the
+    /// shed client sees its recv deadline, not a wedged loop.
+    /// Priority-aware shedding happens downstream at the component
+    /// in-ports (see `rtplatform::fault::AdmissionPolicy`).
     pub inbox_capacity: usize,
 }
 
@@ -105,38 +111,38 @@ impl Default for ReactorConfig {
             workers: 4,
             max_frame: 16 << 20,
             read_chunk: 64 << 10,
-            queue_capacity: 4096,
             inbox_capacity: 1024,
         }
     }
 }
 
-/// The per-frame callback run on worker threads: `(connection, frame)`.
-/// The frame is a segment chain carved out of the reactor's receive
-/// buffers without coalescing — decode it in place
-/// ([`crate::giop::decode_view`] over [`FrameBuf::slices`]). Replies
-/// (if any) go back through the connection's
+/// The per-frame callback, run inline on the event loop that read the
+/// frame: `(connection, frame)`. The frame is a segment chain carved out
+/// of the receive buffers without coalescing — decode it in place
+/// ([`crate::giop::decode_view`] over [`FrameBuf::slices`]). Replies (if
+/// any) go back through the connection's
 /// [`Connection::send_chain`]/[`Connection::send_frame`].
 pub type FrameFn = Arc<dyn Fn(&Arc<dyn Connection>, FrameBuf) + Send + Sync>;
 
-/// State shared between the reactor thread, the workers and every
-/// [`ReactorConn`].
+type ConnTable = Mutex<HashMap<u64, Arc<ReactorConn>>>;
+
+/// State shared by the event loops and every [`ReactorConn`].
 struct Shared {
+    poller: Poller,
+    listener: TcpListener,
+    /// Wakes every loop at shutdown: never drained, so the
+    /// level-triggered eventfd stays ready for each waiting loop.
     waker: Waker,
+    /// Live connections by token, sharded by `token % CONN_SHARDS`.
+    conns: Vec<ConnTable>,
+    next_token: AtomicU64,
     /// Receive segments shared by every connection's reassembly chain.
     recv_pool: SegPool,
-    /// Connections with frames awaiting processing (each at most once).
-    work: MpmcRing<Arc<ReactorConn>>,
-    work_gate: Gate,
-    /// Connections with replies awaiting flushing (each at most once).
-    flush: MpmcRing<u64>,
-    /// Spillover when `flush` is momentarily full — never dropped.
-    flush_overflow: Mutex<Vec<u64>>,
+    cfg: ReactorConfig,
     shutdown: AtomicBool,
     obs: Arc<Observer>,
     handler: FrameFn,
     conns_gauge: GaugeId,
-    depth_gauge: GaugeId,
     wakeups: CounterId,
     coalesce_hist: HistId,
     partial_frames: CounterId,
@@ -145,72 +151,105 @@ struct Shared {
     shed: CounterId,
 }
 
-impl Shared {
-    /// Queues `token` for a write flush (once) and wakes the reactor.
-    fn request_flush(&self, conn: &ReactorConn) {
-        if conn.flush_queued.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        if self.flush.push(conn.token).is_err() {
-            self.flush_overflow.lock().push(conn.token);
-        }
-        self.obs.inc(self.wakeups);
-        self.waker.wake();
-    }
-
-    /// Enqueues a connection for worker processing if it isn't already
-    /// queued. Called by the reactor after appending to the inbox.
-    fn schedule(&self, conn: &Arc<ReactorConn>) {
-        if conn.scheduled.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        let mut item = Arc::clone(conn);
-        // The queue holds connections (not frames) so it only fills when
-        // `queue_capacity` distinct connections all have pending work;
-        // if that happens, the reactor yields until workers drain —
-        // natural backpressure that ultimately flows back over TCP.
-        while let Err(back) = self.work.push(item) {
-            self.obs.inc(self.backpressure);
-            std::thread::yield_now();
-            item = back;
-        }
-        self.obs.gauge_set(self.depth_gauge, self.work.len() as u64);
-        self.work_gate.notify_one();
-    }
-}
-
 /// Write-side state of one connection: queued reply frames plus how far
 /// into the front frame a partial write got.
 #[derive(Default)]
 struct OutBuf {
-    queue: std::collections::VecDeque<FrameBuf>,
+    queue: VecDeque<FrameBuf>,
     /// Bytes of `queue[0]` already written.
     offset: usize,
 }
 
-/// The worker-facing half of a reactor connection. Implements
-/// [`Connection`]: `send_frame` enqueues on the outbox and nudges the
-/// reactor; `recv_frame` is unsupported (inbound frames are delivered to
-/// the [`FrameFn`], never pulled).
+impl OutBuf {
+    /// Writes queued frames until the queue empties or the socket would
+    /// block. Each vectored write gathers the rest of the head frame
+    /// plus whole queued frames, every segment its own iovec (never
+    /// copied together).
+    fn flush(&mut self, mut stream: &TcpStream, shared: &Shared) -> io::Result<()> {
+        while !self.queue.is_empty() {
+            let mut slices: Vec<IoSlice<'_>> = Vec::with_capacity(MAX_IOVECS);
+            let mut skip = self.offset;
+            for s in self.queue[0].slices() {
+                if skip < s.len() {
+                    slices.push(IoSlice::new(&s[skip..]));
+                }
+                skip = skip.saturating_sub(s.len());
+            }
+            let mut frames = 1u64;
+            for frame in self.queue.iter().skip(1) {
+                let parts = frame.slices();
+                if slices.len() + parts.len() > MAX_IOVECS {
+                    break;
+                }
+                slices.extend(parts.into_iter().map(IoSlice::new));
+                frames += 1;
+            }
+            shared.obs.observe(shared.coalesce_hist, frames);
+            let mut written = match stream.write_vectored(&slices) {
+                Ok(n) => n,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(()),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(e),
+            };
+            while let Some(head) = self.queue.front() {
+                let head_left = head.len() - self.offset;
+                if written < head_left {
+                    self.offset += written;
+                    break;
+                }
+                written -= head_left;
+                self.queue.pop_front();
+                self.offset = 0;
+            }
+        }
+        Ok(())
+    }
+}
+
+/// One accepted connection. Implements [`Connection`]: `send_chain`
+/// writes through (or queues behind a blocked socket); `recv_frame` is
+/// unsupported (inbound frames are delivered to the [`FrameFn`], never
+/// pulled).
 pub struct ReactorConn {
     token: u64,
+    /// The one fd of this connection, read and written through `&`.
+    stream: TcpStream,
     shared: Arc<Shared>,
-    /// Complete inbound frames awaiting a worker, FIFO. Each frame
-    /// shares (refcounts) the receive segments it was carved from.
-    inbox: Mutex<std::collections::VecDeque<FrameBuf>>,
-    /// Whether this connection currently sits in the work queue (or is
-    /// being drained by a worker).
-    scheduled: AtomicBool,
+    /// Set while a loop owns this connection's turn.
+    turn: AtomicBool,
+    /// Partial-frame reassembly chain, touched only by the turn owner:
+    /// reads land directly in pooled segments and complete frames are
+    /// carved off as [`FrameBuf`]s sharing those segments.
+    chain: Mutex<RecvChain>,
+    /// Replies the socket has not taken yet. Its lock also orders a
+    /// sender's `turn` check against the owner's re-arm in `end_turn`.
     outbox: Mutex<OutBuf>,
-    flush_queued: AtomicBool,
-    /// Set by `close()`, a protocol violation, or the reactor dropping
-    /// the connection. The reactor flushes the outbox, then hangs up.
+    /// Set by `close()`, a protocol violation, a write failure or
+    /// shutdown. The owner flushes the outbox, then hangs up.
     closing: AtomicBool,
 }
 
 impl std::fmt::Debug for ReactorConn {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "ReactorConn(token={})", self.token)
+    }
+}
+
+impl ReactorConn {
+    /// Called with the outbox locked after a send or close that needs a
+    /// loop: when no loop owns the turn, re-arms the registration for
+    /// writing so one takes it. An owner instead sees the queue or the
+    /// close in `end_turn`.
+    fn wake_loop(&self, _outbox: &OutBuf) {
+        if self.turn.load(Ordering::SeqCst) {
+            return;
+        }
+        self.shared.obs.inc(self.shared.wakeups);
+        let _ = self.shared.poller.modify(
+            self.stream.as_raw_fd(),
+            self.token,
+            Interest::BOTH.oneshot(),
+        );
     }
 }
 
@@ -223,11 +262,28 @@ impl Connection for ReactorConn {
         if self.closing.load(Ordering::SeqCst) {
             return Err(TransportError::Closed);
         }
+        let shared = &self.shared;
+        let mut out = self.outbox.lock();
         // Cloning a FrameBuf only bumps segment refcounts: the reply
-        // bytes written by the chain encoder are the bytes the reactor
-        // later scatters into the socket.
-        self.outbox.lock().queue.push_back(frame.clone());
-        self.shared.request_flush(self);
+        // bytes written by the chain encoder are the bytes scattered
+        // into the socket.
+        let queued_ahead = !out.queue.is_empty();
+        out.queue.push_back(frame.clone());
+        if queued_ahead {
+            // Behind a blocked socket: the armed EPOLLOUT flushes it.
+            return Ok(());
+        }
+        if let Err(e) = out.flush(&self.stream, shared) {
+            out.queue.clear();
+            out.offset = 0;
+            self.closing.store(true, Ordering::SeqCst);
+            self.wake_loop(&out);
+            return Err(TransportError::Io(e));
+        }
+        if !out.queue.is_empty() {
+            shared.obs.inc(shared.backpressure);
+            self.wake_loop(&out);
+        }
         Ok(())
     }
 
@@ -240,29 +296,17 @@ impl Connection for ReactorConn {
 
     fn close(&self) {
         self.closing.store(true, Ordering::SeqCst);
-        self.shared.request_flush(self);
+        let out = self.outbox.lock();
+        self.wake_loop(&out);
     }
 }
 
-/// Read-side state owned exclusively by the reactor thread.
-struct ConnEntry {
-    stream: TcpStream,
-    conn: Arc<ReactorConn>,
-    /// Partial-frame reassembly chain: reads land directly in pooled
-    /// segments and complete frames are carved off as [`FrameBuf`]s
-    /// sharing those segments — bytes are never copied together.
-    chain: RecvChain,
-    /// Whether EPOLLOUT is currently armed.
-    write_interest: bool,
-}
-
-/// Handle to a running reactor server. Dropping it shuts the reactor,
-/// its workers and every connection down.
+/// Handle to a running reactor server. Dropping it shuts the event
+/// loops and every connection down.
 pub struct ReactorServer {
     addr: SocketAddr,
     shared: Arc<Shared>,
-    reactor: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
+    loops: Vec<JoinHandle<()>>,
 }
 
 impl std::fmt::Debug for ReactorServer {
@@ -272,9 +316,8 @@ impl std::fmt::Debug for ReactorServer {
 }
 
 impl ReactorServer {
-    /// Binds `127.0.0.1:0` and spawns the reactor thread plus
-    /// `cfg.workers` worker threads; inbound frames are handed to
-    /// `handler` on worker threads.
+    /// Binds `127.0.0.1:0` and spawns `cfg.workers` event loops; inbound
+    /// frames are handed to `handler` on the loop that read them.
     ///
     /// # Errors
     ///
@@ -289,20 +332,26 @@ impl ReactorServer {
         let addr = listener.local_addr().map_err(TransportError::Io)?;
         let poller = Poller::new().map_err(TransportError::Io)?;
         poller
-            .register(listener.as_raw_fd(), TOKEN_LISTENER, Interest::READ)
+            .register(
+                listener.as_raw_fd(),
+                TOKEN_LISTENER,
+                Interest::READ.oneshot(),
+            )
             .map_err(TransportError::Io)?;
         let waker = Waker::new(&poller, TOKEN_WAKER).map_err(TransportError::Io)?;
 
         let shared = Arc::new(Shared {
+            poller,
+            listener,
             waker,
+            conns: (0..CONN_SHARDS)
+                .map(|_| Mutex::new(HashMap::new()))
+                .collect(),
+            next_token: AtomicU64::new(TOKEN_FIRST_CONN),
             recv_pool: SegPool::new(RECV_POOL_SEGS, cfg.read_chunk.max(HEADER_LEN)),
-            work: MpmcRing::new(cfg.queue_capacity.max(2)),
-            work_gate: Gate::new(),
-            flush: MpmcRing::new(cfg.queue_capacity.max(2)),
-            flush_overflow: Mutex::new(Vec::new()),
+            cfg,
             shutdown: AtomicBool::new(false),
             conns_gauge: obs.gauge("reactor_connections"),
-            depth_gauge: obs.gauge("reactor_queue_depth"),
             wakeups: obs.counter("reactor_wakeups_total"),
             coalesce_hist: obs.histogram("reactor_coalesced_writes"),
             partial_frames: obs.counter("reactor_partial_frames_total"),
@@ -313,28 +362,23 @@ impl ReactorServer {
             handler,
         });
 
-        let mut workers = Vec::with_capacity(cfg.workers.max(1));
+        // Built before spawning, so a failed spawn drops (and joins)
+        // the loops already running.
+        let mut server = ReactorServer {
+            addr,
+            shared,
+            loops: Vec::with_capacity(cfg.workers.max(1)),
+        };
         for i in 0..cfg.workers.max(1) {
-            let shared2 = Arc::clone(&shared);
-            workers.push(
+            let shared = Arc::clone(&server.shared);
+            server.loops.push(
                 std::thread::Builder::new()
-                    .name(format!("orb-reactor-worker-{i}"))
-                    .spawn(move || worker_loop(&shared2))
+                    .name(format!("orb-reactor-{i}"))
+                    .spawn(move || event_loop(&shared))
                     .map_err(TransportError::Io)?,
             );
         }
-        let shared2 = Arc::clone(&shared);
-        let reactor = std::thread::Builder::new()
-            .name("orb-reactor".into())
-            .spawn(move || reactor_loop(&shared2, poller, listener, cfg))
-            .map_err(TransportError::Io)?;
-
-        Ok(ReactorServer {
-            addr,
-            shared,
-            reactor: Some(reactor),
-            workers,
-        })
+        Ok(server)
     }
 
     /// The bound address clients should connect to.
@@ -342,374 +386,238 @@ impl ReactorServer {
         self.addr
     }
 
-    /// Stops the reactor and workers; all connections are severed.
+    /// Stops the event loops and severs every connection.
     pub fn shutdown(&self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
         self.shared.waker.wake();
-        self.shared.work_gate.notify_all();
+        self.shared.sever_all();
     }
 }
 
 impl Drop for ReactorServer {
     fn drop(&mut self) {
         self.shutdown();
-        if let Some(h) = self.reactor.take() {
+        for h in self.loops.drain(..) {
             let _ = h.join();
         }
-        for h in self.workers.drain(..) {
-            let _ = h.join();
-        }
+        // A connection accepted while `shutdown` swept the table.
+        self.shared.sever_all();
     }
 }
 
-/// Worker: pop a connection, drain (a batch of) its inbox through the
-/// handler, park when there is nothing to do.
-fn worker_loop(shared: &Arc<Shared>) {
-    loop {
-        match shared.work.pop() {
-            Some(conn) => {
-                shared
-                    .obs
-                    .gauge_set(shared.depth_gauge, shared.work.len() as u64);
-                drain_conn(shared, conn);
-            }
-            None => {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-                let deadline = std::time::Instant::now() + Duration::from_millis(100);
-                shared.work_gate.wait(Some(deadline), || {
-                    !shared.work.is_empty() || shared.shutdown.load(Ordering::SeqCst)
-                });
-            }
-        }
-    }
-}
-
-/// Processes up to [`WORKER_BATCH`] frames from `conn`'s inbox in FIFO
-/// order, then either requeues it (more work pending — fairness) or
-/// releases its schedule slot with the usual lost-wakeup re-check.
-fn drain_conn(shared: &Arc<Shared>, conn: Arc<ReactorConn>) {
-    let as_dyn: Arc<dyn Connection> = Arc::clone(&conn) as Arc<dyn Connection>;
-    let mut handled = 0;
-    loop {
-        let frame = conn.inbox.lock().pop_front();
-        match frame {
-            Some(frame) => {
-                (shared.handler)(&as_dyn, frame);
-                handled += 1;
-                if handled >= WORKER_BATCH {
-                    if conn.inbox.lock().is_empty() {
-                        continue; // next iteration observes the empty inbox
-                    }
-                    // Requeue at the tail, still scheduled, so another
-                    // worker continues this connection after its peers.
-                    let mut item = Arc::clone(&conn);
-                    while let Err(back) = shared.work.push(item) {
-                        std::thread::yield_now();
-                        item = back;
-                    }
-                    shared.work_gate.notify_one();
-                    return;
-                }
-            }
-            None => {
-                conn.scheduled.store(false, Ordering::SeqCst);
-                // Re-check: the reactor may have appended between the
-                // empty pop and the store. Whoever wins the swap owns
-                // the requeue.
-                if !conn.inbox.lock().is_empty() && !conn.scheduled.swap(true, Ordering::SeqCst) {
-                    let mut item = Arc::clone(&conn);
-                    while let Err(back) = shared.work.push(item) {
-                        std::thread::yield_now();
-                        item = back;
-                    }
-                    shared.work_gate.notify_one();
-                }
-                return;
-            }
-        }
-    }
-}
-
-/// The reactor thread: accept, read/frame, flush, repeat.
-fn reactor_loop(shared: &Arc<Shared>, poller: Poller, listener: TcpListener, cfg: ReactorConfig) {
-    let mut conns: HashMap<u64, ConnEntry> = HashMap::new();
-    let mut next_token = TOKEN_FIRST_CONN;
-    let mut events: Vec<PollEvent> = Vec::new();
-
+/// One event loop: wait for a few events, run a turn for each.
+fn event_loop(shared: &Arc<Shared>) {
+    let mut events: Vec<PollEvent> = Vec::with_capacity(EVENTS_PER_WAIT);
     while !shared.shutdown.load(Ordering::SeqCst) {
-        // The timeout is a shutdown-latency bound, not a poll interval:
-        // all data paths wake the loop via fd readiness or the eventfd.
-        if poller
-            .wait(&mut events, Some(Duration::from_millis(100)))
+        // The timeout is a shutdown-latency backstop, not a poll
+        // interval: every data path arrives as fd readiness.
+        if shared
+            .poller
+            .wait(
+                &mut events,
+                EVENTS_PER_WAIT,
+                Some(Duration::from_millis(100)),
+            )
             .is_err()
         {
             break;
         }
-        for ev in events.clone() {
+        for ev in &events {
             match ev.token {
-                TOKEN_LISTENER => {
-                    accept_ready(shared, &poller, &listener, &mut conns, &mut next_token)
-                }
-                TOKEN_WAKER => shared.waker.drain(),
+                TOKEN_LISTENER => shared.accept_ready(),
+                TOKEN_WAKER => {} // shutdown; the loop condition sees it
                 token => {
-                    if ev.readable || ev.closed {
-                        read_ready(shared, &poller, &mut conns, token, &cfg, ev.closed);
-                    }
-                    if ev.writable {
-                        flush_conn(shared, &poller, &mut conns, token);
+                    let conn = shared.conns[shard(token)].lock().get(&token).cloned();
+                    if let Some(conn) = conn {
+                        shared.run_turn(&conn, ev);
                     }
                 }
             }
         }
-        // Replies queued by workers since the last pass.
-        let mut pending = std::mem::take(&mut *shared.flush_overflow.lock());
-        while let Some(token) = shared.flush.pop() {
-            pending.push(token);
-        }
-        for token in pending {
-            if let Some(entry) = conns.get(&token) {
-                // Clear before flushing: a send racing the flush then
-                // re-queues rather than being lost.
-                entry.conn.flush_queued.store(false, Ordering::SeqCst);
-            }
-            flush_conn(shared, &poller, &mut conns, token);
-        }
     }
-
-    // Shutdown: sever every connection so blocked peers fail fast.
-    for (_, entry) in conns.drain() {
-        entry.conn.closing.store(true, Ordering::SeqCst);
-        poller.deregister(entry.stream.as_raw_fd());
-        let _ = entry.stream.shutdown(std::net::Shutdown::Both);
-    }
-    shared.work_gate.notify_all();
 }
 
-fn accept_ready(
-    shared: &Arc<Shared>,
-    poller: &Poller,
-    listener: &TcpListener,
-    conns: &mut HashMap<u64, ConnEntry>,
-    next_token: &mut u64,
-) {
-    loop {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                if stream.set_nonblocking(true).is_err() || stream.set_nodelay(true).is_err() {
-                    continue;
-                }
-                let token = *next_token;
-                *next_token += 1;
-                if poller
-                    .register(stream.as_raw_fd(), token, Interest::READ)
-                    .is_err()
-                {
-                    continue;
-                }
-                let conn = Arc::new(ReactorConn {
-                    token,
-                    shared: Arc::clone(shared),
-                    inbox: Mutex::new(std::collections::VecDeque::new()),
-                    scheduled: AtomicBool::new(false),
-                    outbox: Mutex::new(OutBuf::default()),
-                    flush_queued: AtomicBool::new(false),
-                    closing: AtomicBool::new(false),
-                });
-                conns.insert(
-                    token,
-                    ConnEntry {
+fn shard(token: u64) -> usize {
+    (token % CONN_SHARDS as u64) as usize
+}
+
+impl Shared {
+    /// Accepts every pending connection, then re-arms the listener.
+    fn accept_ready(self: &Arc<Self>) {
+        loop {
+            match self.listener.accept() {
+                Ok((stream, _)) => {
+                    if stream.set_nonblocking(true).is_err() || stream.set_nodelay(true).is_err() {
+                        continue;
+                    }
+                    let token = self.next_token.fetch_add(1, Ordering::Relaxed);
+                    let fd = stream.as_raw_fd();
+                    let conn = Arc::new(ReactorConn {
+                        token,
                         stream,
-                        conn,
-                        chain: RecvChain::new(&shared.recv_pool),
-                        write_interest: false,
-                    },
-                );
-                shared.obs.gauge_add(shared.conns_gauge, 1);
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(_) => return,
-        }
-    }
-}
-
-/// Drains the socket, reassembles frames, delivers them, and tears the
-/// connection down on EOF/error (after delivering what arrived).
-fn read_ready(
-    shared: &Arc<Shared>,
-    poller: &Poller,
-    conns: &mut HashMap<u64, ConnEntry>,
-    token: u64,
-    cfg: &ReactorConfig,
-    peer_closed: bool,
-) {
-    let Some(entry) = conns.get_mut(&token) else {
-        return;
-    };
-    let mut eof = peer_closed;
-    loop {
-        // Reads land directly in pooled segment memory; frames carved
-        // below share those segments instead of being copied out.
-        match entry.chain.read_from(&mut entry.stream) {
-            Ok(0) => {
-                eof = true;
-                break;
-            }
-            Ok(_) => {} // loop until WouldBlock (socket is nonblocking)
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(_) => {
-                eof = true;
-                break;
+                        shared: Arc::clone(self),
+                        turn: AtomicBool::new(false),
+                        chain: Mutex::new(RecvChain::new(&self.recv_pool)),
+                        outbox: Mutex::new(OutBuf::default()),
+                        closing: AtomicBool::new(false),
+                    });
+                    self.obs.gauge_add(self.conns_gauge, 1);
+                    // Into the table before the poller: an event for an
+                    // unknown token is dropped, which would leave the
+                    // one-shot registration disarmed for good.
+                    self.conns[shard(token)]
+                        .lock()
+                        .insert(token, Arc::clone(&conn));
+                    if self
+                        .poller
+                        .register(fd, token, Interest::READ.oneshot())
+                        .is_err()
+                    {
+                        self.drop_conn(&conn);
+                    }
+                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(_) => break, // WouldBlock: drained; else retry on re-arm
             }
         }
+        let _ = self.poller.modify(
+            self.listener.as_raw_fd(),
+            TOKEN_LISTENER,
+            Interest::READ.oneshot(),
+        );
     }
 
-    // Carve every complete frame out of the reassembly chain.
-    let mut delivered = false;
-    loop {
-        let mut header = [0u8; HEADER_LEN];
-        if !entry.chain.peek(0, &mut header) {
-            if !entry.chain.is_empty() {
-                shared.obs.inc(shared.partial_frames);
-            }
-            break;
-        }
-        let body = match giop::body_size(&header) {
-            Ok(b) if b <= cfg.max_frame => b,
-            _ => {
-                // Bad magic or absurd size: this is not a GIOP stream.
-                // Tell the peer (MessageError), then hang up once the
-                // reply has flushed.
-                shared.obs.inc(shared.protocol_errors);
-                let _ = entry.conn.send_frame(&giop::encode_error(Endian::native()));
-                entry.conn.closing.store(true, Ordering::SeqCst);
-                let discard = entry.chain.len();
-                let _ = entry.chain.take_frame(discard);
-                return;
-            }
-        };
-        let total = HEADER_LEN + body;
-        if entry.chain.len() < total {
-            shared.obs.inc(shared.partial_frames);
-            break;
-        }
-        let frame = entry.chain.take_frame(total);
-        {
-            let mut inbox = entry.conn.inbox.lock();
-            if inbox.len() >= cfg.inbox_capacity.max(1) {
-                // Inbox over capacity: shed the frame instead of queueing
-                // unboundedly. The peer learns via its recv deadline.
-                drop(inbox);
-                shared.obs.inc(shared.shed);
-                continue;
-            }
-            inbox.push_back(frame);
-        }
-        delivered = true;
-    }
-    if delivered {
-        let conn = Arc::clone(&entry.conn);
-        shared.schedule(&conn);
-    }
-    if eof {
-        drop_conn(shared, poller, conns, token);
-    }
-}
-
-/// Flushes the outbox with vectored writes, arming/disarming EPOLLOUT as
-/// the socket blocks/unblocks, and completes a deferred close once the
-/// outbox is empty.
-fn flush_conn(
-    shared: &Arc<Shared>,
-    poller: &Poller,
-    conns: &mut HashMap<u64, ConnEntry>,
-    token: u64,
-) {
-    let Some(entry) = conns.get_mut(&token) else {
-        return;
-    };
-    loop {
-        let mut out = entry.conn.outbox.lock();
-        if out.queue.is_empty() {
-            drop(out);
-            if entry.write_interest {
-                entry.write_interest = false;
-                let _ = poller.modify(entry.stream.as_raw_fd(), token, Interest::READ);
-            }
-            if entry.conn.closing.load(Ordering::SeqCst) {
-                drop_conn(shared, poller, conns, token);
-            }
+    /// One turn on `conn`: flush if writable, read and run frames if
+    /// readable, then re-arm (or hang up).
+    fn run_turn(&self, conn: &Arc<ReactorConn>, ev: &PollEvent) {
+        if conn.turn.swap(true, Ordering::SeqCst) {
+            // Another loop owns this turn (a sender re-armed while its
+            // event was in flight); its `end_turn` re-arms again.
             return;
         }
-        // Gather the head partial plus whole queued frames: one syscall
-        // carries every reply coalesced since the last flush, each
-        // frame contributing its segments as separate iovecs (never
-        // copied together).
-        let head_rest = out.queue[0].slice(out.offset, out.queue[0].len());
-        let mut slices: Vec<IoSlice<'_>> = Vec::with_capacity(MAX_IOVECS);
-        let mut frames_gathered = 0u64;
-        for s in head_rest.slices() {
-            slices.push(IoSlice::new(s));
+        if ev.writable {
+            let mut out = conn.outbox.lock();
+            if out.flush(&conn.stream, self).is_err() {
+                out.queue.clear();
+                out.offset = 0;
+                conn.closing.store(true, Ordering::SeqCst);
+            }
         }
-        frames_gathered += 1;
-        for frame in out.queue.iter().skip(1) {
-            let parts = frame.slices();
-            if slices.len() + parts.len() > MAX_IOVECS {
+        let eof = if conn.closing.load(Ordering::SeqCst) {
+            // A closing connection reads nothing more; a hang-up ends it.
+            ev.closed
+        } else {
+            (ev.readable || ev.closed) && self.read_frames(conn)
+        };
+        self.end_turn(conn, eof);
+    }
+
+    /// Reads once into the reassembly chain, then runs every complete
+    /// frame through the handler in order. Returns whether the peer hung
+    /// up (or the socket failed).
+    fn read_frames(&self, conn: &Arc<ReactorConn>) -> bool {
+        let mut chain = conn.chain.lock();
+        let eof = loop {
+            // One read per turn is the fairness budget: bytes left in
+            // the socket re-fire the registration once `end_turn`
+            // re-arms it, behind the other ready connections.
+            match chain.read_from(&mut &conn.stream) {
+                Ok(0) => break true,
+                Ok(_) => break false,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break false,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(_) => break true,
+            }
+        };
+        let as_dyn: Arc<dyn Connection> = Arc::clone(conn) as Arc<dyn Connection>;
+        let mut ran = 0;
+        loop {
+            let mut header = [0u8; HEADER_LEN];
+            if !chain.peek(0, &mut header) {
+                if !chain.is_empty() {
+                    self.obs.inc(self.partial_frames);
+                }
                 break;
             }
-            for s in parts {
-                slices.push(IoSlice::new(s));
+            let body = match giop::body_size(&header) {
+                Ok(b) if b <= self.cfg.max_frame => b,
+                _ => {
+                    // Bad magic or absurd size: this is not a GIOP
+                    // stream. Tell the peer (MessageError), then hang up
+                    // once the reply has flushed.
+                    self.obs.inc(self.protocol_errors);
+                    let _ = conn.send_frame(&giop::encode_error(Endian::native()));
+                    conn.closing.store(true, Ordering::SeqCst);
+                    let discard = chain.len();
+                    let _ = chain.take_frame(discard);
+                    break;
+                }
+            };
+            let total = HEADER_LEN + body;
+            if chain.len() < total {
+                self.obs.inc(self.partial_frames);
+                break;
             }
-            frames_gathered += 1;
+            let frame = chain.take_frame(total);
+            if ran >= self.cfg.inbox_capacity.max(1) {
+                self.obs.inc(self.shed);
+                continue;
+            }
+            ran += 1;
+            (self.handler)(&as_dyn, frame);
         }
-        shared.obs.observe(shared.coalesce_hist, frames_gathered);
-        match entry.stream.write_vectored(&slices) {
-            Ok(mut written) => {
-                while written > 0 {
-                    let head_left = out.queue[0].len() - out.offset;
-                    if written >= head_left {
-                        written -= head_left;
-                        out.queue.pop_front();
-                        out.offset = 0;
-                    } else {
-                        out.offset += written;
-                        written = 0;
-                    }
-                }
-                // Loop: either more queued frames, or empty → epilogue.
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                drop(out);
-                if !entry.write_interest {
-                    entry.write_interest = true;
-                    let _ = poller.modify(entry.stream.as_raw_fd(), token, Interest::BOTH);
-                }
-                return;
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(_) => {
-                drop(out);
-                drop_conn(shared, poller, conns, token);
-                return;
-            }
+        eof
+    }
+
+    /// Ends a turn: hangs up on EOF or a finished close, otherwise
+    /// releases the turn and re-arms for reading, plus writing while
+    /// replies wait. Done under the outbox lock, so a sender on another
+    /// thread either queued before this (and is re-armed for here) or
+    /// sees the turn released and re-arms itself.
+    fn end_turn(&self, conn: &ReactorConn, eof: bool) {
+        let out = conn.outbox.lock();
+        let closing = conn.closing.load(Ordering::SeqCst);
+        if eof || (closing && out.queue.is_empty()) {
+            drop(out);
+            self.drop_conn(conn);
+            return; // the turn stays taken: the connection is gone
+        }
+        let interest = if closing {
+            Interest::WRITE
+        } else if out.queue.is_empty() {
+            Interest::READ
+        } else {
+            Interest::BOTH
+        };
+        conn.turn.store(false, Ordering::SeqCst);
+        let _ = self
+            .poller
+            .modify(conn.stream.as_raw_fd(), conn.token, interest.oneshot());
+    }
+
+    fn drop_conn(&self, conn: &ReactorConn) {
+        conn.closing.store(true, Ordering::SeqCst);
+        self.poller.deregister(conn.stream.as_raw_fd());
+        let _ = conn.stream.shutdown(std::net::Shutdown::Both);
+        if self.conns[shard(conn.token)]
+            .lock()
+            .remove(&conn.token)
+            .is_some()
+        {
+            self.obs.gauge_sub(self.conns_gauge, 1);
         }
     }
-}
 
-fn drop_conn(
-    shared: &Arc<Shared>,
-    poller: &Poller,
-    conns: &mut HashMap<u64, ConnEntry>,
-    token: u64,
-) {
-    if let Some(entry) = conns.remove(&token) {
-        entry.conn.closing.store(true, Ordering::SeqCst);
-        poller.deregister(entry.stream.as_raw_fd());
-        let _ = entry.stream.shutdown(std::net::Shutdown::Both);
-        shared.obs.gauge_sub(shared.conns_gauge, 1);
+    /// Severs every connection so blocked peers fail fast. Emptying the
+    /// table also breaks each connection's reference back to `Shared`.
+    fn sever_all(&self) {
+        for table in &self.conns {
+            for (_, conn) in table.lock().drain() {
+                conn.closing.store(true, Ordering::SeqCst);
+                let _ = conn.stream.shutdown(std::net::Shutdown::Both);
+                self.obs.gauge_sub(self.conns_gauge, 1);
+            }
+        }
     }
 }
 

@@ -450,8 +450,8 @@ impl ZenServer {
     }
 
     /// The event-driven reactor transport (DESIGN.md §5h): connections
-    /// are multiplexed by one poll loop and requests dispatched by a
-    /// worker pool through the same POA-scope frame service as the
+    /// are multiplexed by a few event loops, each dispatching the
+    /// requests it reads through the same POA-scope frame service as the
     /// threaded path. The threaded path stays thread-per-connection —
     /// the paper-faithful RTZen comparator — while this one scales past
     /// it.

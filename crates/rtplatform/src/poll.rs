@@ -9,9 +9,12 @@
 //! * [`Poller`] — an epoll instance: register/modify/deregister file
 //!   descriptors with a `u64` token and an [`Interest`], then
 //!   [`Poller::wait`] for [`PollEvent`]s (level-triggered, so a handler
-//!   that drains only part of a socket is re-notified);
-//! * [`Waker`] — an `eventfd` registered with the poller, letting worker
-//!   threads interrupt a parked `wait` from outside the poll loop;
+//!   that drains only part of a socket is re-notified). A
+//!   [one-shot](Interest::oneshot) registration reports once and then
+//!   stays silent until [`Poller::modify`] re-arms it, which lets several
+//!   threads wait on one poller without two of them handling one fd;
+//! * [`Waker`] — an `eventfd` registered with the poller, letting another
+//!   thread interrupt a parked `wait` from outside the poll loop;
 //! * [`raise_nofile_limit`] — lifts `RLIMIT_NOFILE`'s soft limit to the
 //!   hard limit, which multi-thousand-connection load benches need.
 //!
@@ -49,6 +52,7 @@ const EPOLLOUT: u32 = 0x004;
 const EPOLLERR: u32 = 0x008;
 const EPOLLHUP: u32 = 0x010;
 const EPOLLRDHUP: u32 = 0x2000;
+const EPOLLONESHOT: u32 = 1 << 30;
 
 const EPOLL_CTL_ADD: CInt = 1;
 const EPOLL_CTL_DEL: CInt = 2;
@@ -65,7 +69,6 @@ extern "C" {
     fn epoll_ctl(epfd: CInt, op: CInt, fd: CInt, event: *mut EpollEvent) -> CInt;
     fn epoll_wait(epfd: CInt, events: *mut EpollEvent, maxevents: CInt, timeout: CInt) -> CInt;
     fn eventfd(initval: u32, flags: CInt) -> CInt;
-    fn read(fd: CInt, buf: *mut u8, count: usize) -> isize;
     fn write(fd: CInt, buf: *const u8, count: usize) -> isize;
     fn close(fd: CInt) -> CInt;
     fn getrlimit(resource: CInt, rlim: *mut RLimit) -> CInt;
@@ -88,6 +91,8 @@ pub struct Interest {
     pub read: bool,
     /// Notify when the fd is writable.
     pub write: bool,
+    /// Report once, then disarm until [`Poller::modify`] re-arms.
+    pub oneshot: bool,
 }
 
 impl Interest {
@@ -95,20 +100,36 @@ impl Interest {
     pub const READ: Interest = Interest {
         read: true,
         write: false,
+        oneshot: false,
     };
     /// Write readiness only.
     pub const WRITE: Interest = Interest {
         read: false,
         write: true,
+        oneshot: false,
     };
     /// Both directions.
     pub const BOTH: Interest = Interest {
         read: true,
         write: true,
+        oneshot: false,
     };
+
+    /// The same interest, one-shot (`EPOLLONESHOT`): after one event is
+    /// reported the fd is disarmed, so exactly one waiting thread sees
+    /// it, until [`Poller::modify`] re-arms the registration.
+    pub const fn oneshot(self) -> Interest {
+        Interest {
+            oneshot: true,
+            ..self
+        }
+    }
 
     fn mask(self) -> u32 {
         let mut m = EPOLLRDHUP;
+        if self.oneshot {
+            m |= EPOLLONESHOT;
+        }
         if self.read {
             m |= EPOLLIN;
         }
@@ -171,7 +192,9 @@ impl Poller {
         self.ctl(EPOLL_CTL_ADD, fd, token, interest)
     }
 
-    /// Changes the interest (and/or token) of a registered fd.
+    /// Changes the interest (and/or token) of a registered fd; re-arms
+    /// a disarmed one-shot registration, reporting at once if the fd is
+    /// already ready.
     ///
     /// # Errors
     ///
@@ -191,9 +214,10 @@ impl Poller {
     }
 
     /// Blocks until at least one registered fd is ready or `timeout`
-    /// elapses (`None` = forever), appending into `events` (cleared
-    /// first). Returns the number of events delivered; `0` means the
-    /// timeout elapsed. A signal-interrupted wait retries internally.
+    /// elapses (`None` = forever), appending at most `max` (clamped to
+    /// 1..=256) events into `events` (cleared first). Returns the number
+    /// of events delivered; `0` means the timeout elapsed. A
+    /// signal-interrupted wait retries internally.
     ///
     /// # Errors
     ///
@@ -201,6 +225,7 @@ impl Poller {
     pub fn wait(
         &self,
         events: &mut Vec<PollEvent>,
+        max: usize,
         timeout: Option<Duration>,
     ) -> io::Result<usize> {
         events.clear();
@@ -211,11 +236,11 @@ impl Poller {
         };
         const MAX_EVENTS: usize = 256;
         let mut raw = [EpollEvent { events: 0, data: 0 }; MAX_EVENTS];
+        let max = max.clamp(1, MAX_EVENTS);
         let n = loop {
-            // SAFETY: `raw` is a valid buffer of MAX_EVENTS entries for
-            // the duration of the call.
-            let rc =
-                unsafe { epoll_wait(self.epfd, raw.as_mut_ptr(), MAX_EVENTS as CInt, timeout_ms) };
+            // SAFETY: `raw` is a valid buffer of MAX_EVENTS >= `max`
+            // entries for the duration of the call.
+            let rc = unsafe { epoll_wait(self.epfd, raw.as_mut_ptr(), max as CInt, timeout_ms) };
             if rc >= 0 {
                 break rc as usize;
             }
@@ -247,9 +272,10 @@ impl Drop for Poller {
 }
 
 /// Cross-thread wakeup for a parked [`Poller::wait`]: an `eventfd`
-/// registered under a caller-chosen token. [`Waker::wake`] is safe from
-/// any thread; the poll loop calls [`Waker::drain`] when the token
-/// surfaces, then processes whatever the waking thread published.
+/// registered (level-triggered) under a caller-chosen token.
+/// [`Waker::wake`] is safe from any thread. Nothing drains it: once woken
+/// the token stays ready, so every later `wait` — on every thread sharing
+/// the poller — reports it. It is a one-way signal, such as shutdown.
 #[derive(Debug)]
 pub struct Waker {
     fd: RawFd,
@@ -272,22 +298,14 @@ impl Waker {
         Ok(Waker { fd })
     }
 
-    /// Wakes the poll loop. Cheap and coalescing: multiple wakes before
-    /// the drain collapse into one readiness event.
+    /// Wakes the poll loops. Cheap and coalescing: multiple wakes
+    /// collapse into one ready token.
     pub fn wake(&self) {
         let one: u64 = 1;
         // SAFETY: writing 8 bytes from a stack value to an owned fd. An
         // EAGAIN (counter saturated) still leaves the fd readable, which
         // is all a wakeup needs.
         let _ = unsafe { write(self.fd, one.to_ne_bytes().as_ptr(), 8) };
-    }
-
-    /// Clears pending wakeups so the level-triggered poller stops
-    /// reporting the token.
-    pub fn drain(&self) {
-        let mut buf = [0u8; 8];
-        // SAFETY: reading 8 bytes into a stack buffer from an owned fd.
-        let _ = unsafe { read(self.fd, buf.as_mut_ptr(), 8) };
     }
 }
 
@@ -345,26 +363,26 @@ mod tests {
         let mut events = Vec::new();
         // Nothing yet: times out.
         let n = poller
-            .wait(&mut events, Some(Duration::from_millis(10)))
+            .wait(&mut events, 256, Some(Duration::from_millis(10)))
             .unwrap();
         assert_eq!(n, 0);
         a.write_all(b"x").unwrap();
         let n = poller
-            .wait(&mut events, Some(Duration::from_secs(5)))
+            .wait(&mut events, 256, Some(Duration::from_secs(5)))
             .unwrap();
         assert_eq!(n, 1);
         assert_eq!(events[0].token, 7);
         assert!(events[0].readable);
         // Level-triggered: still readable until drained.
         let n = poller
-            .wait(&mut events, Some(Duration::from_millis(50)))
+            .wait(&mut events, 256, Some(Duration::from_millis(50)))
             .unwrap();
         assert_eq!(n, 1);
         let mut buf = [0u8; 1];
         let mut c = &b;
         c.read_exact(&mut buf).unwrap();
         let n = poller
-            .wait(&mut events, Some(Duration::from_millis(10)))
+            .wait(&mut events, 256, Some(Duration::from_millis(10)))
             .unwrap();
         assert_eq!(n, 0);
     }
@@ -377,7 +395,7 @@ mod tests {
         drop(a);
         let mut events = Vec::new();
         poller
-            .wait(&mut events, Some(Duration::from_secs(5)))
+            .wait(&mut events, 256, Some(Duration::from_secs(5)))
             .unwrap();
         assert!(events.iter().any(|e| e.token == 1 && e.closed));
     }
@@ -391,14 +409,66 @@ mod tests {
         poller.modify(b.as_raw_fd(), 2, Interest::BOTH).unwrap();
         let mut events = Vec::new();
         poller
-            .wait(&mut events, Some(Duration::from_secs(5)))
+            .wait(&mut events, 256, Some(Duration::from_secs(5)))
             .unwrap();
         assert!(events.iter().any(|e| e.token == 2 && e.writable));
         poller.deregister(b.as_raw_fd());
         let n = poller
-            .wait(&mut events, Some(Duration::from_millis(10)))
+            .wait(&mut events, 256, Some(Duration::from_millis(10)))
             .unwrap();
         assert_eq!(n, 0);
+    }
+
+    #[test]
+    fn oneshot_reports_once_until_rearmed() {
+        let (mut a, b) = pair();
+        let poller = Poller::new().unwrap();
+        let fd = b.as_raw_fd();
+        poller.register(fd, 3, Interest::READ.oneshot()).unwrap();
+        a.write_all(b"x").unwrap();
+        let mut events = Vec::new();
+        let n = poller
+            .wait(&mut events, 256, Some(Duration::from_secs(5)))
+            .unwrap();
+        assert_eq!(n, 1);
+        assert!(events[0].token == 3 && events[0].readable);
+        // Disarmed: silent although the byte is still unread.
+        let n = poller
+            .wait(&mut events, 256, Some(Duration::from_millis(50)))
+            .unwrap();
+        assert_eq!(n, 0, "one-shot must not report again before re-arming");
+        poller.modify(fd, 3, Interest::READ.oneshot()).unwrap();
+        let n = poller
+            .wait(&mut events, 256, Some(Duration::from_secs(5)))
+            .unwrap();
+        assert_eq!(n, 1, "re-arming a ready fd reports it again");
+        assert!(events[0].token == 3 && events[0].readable);
+    }
+
+    #[test]
+    fn wait_delivers_at_most_max_events() {
+        let (mut a1, b1) = pair();
+        let (mut a2, b2) = pair();
+        let poller = Poller::new().unwrap();
+        poller.register(b1.as_raw_fd(), 1, Interest::READ).unwrap();
+        poller.register(b2.as_raw_fd(), 2, Interest::READ).unwrap();
+        a1.write_all(b"x").unwrap();
+        a2.write_all(b"y").unwrap();
+        let mut events = Vec::new();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        // Both become ready; a one-event wait still returns one.
+        while poller
+            .wait(&mut events, 256, Some(Duration::from_millis(10)))
+            .unwrap()
+            < 2
+        {
+            assert!(Instant::now() < deadline, "both fds must become ready");
+        }
+        let n = poller
+            .wait(&mut events, 1, Some(Duration::from_secs(5)))
+            .unwrap();
+        assert_eq!(n, 1);
+        assert_eq!(events.len(), 1);
     }
 
     #[test]
@@ -416,17 +486,16 @@ mod tests {
         let mut events = Vec::new();
         let t = Instant::now();
         poller
-            .wait(&mut events, Some(Duration::from_secs(10)))
+            .wait(&mut events, 256, Some(Duration::from_secs(10)))
             .unwrap();
         assert!(t.elapsed() < Duration::from_secs(5), "woken, not timed out");
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].token, u64::MAX);
-        waker.drain();
-        let n = poller
-            .wait(&mut events, Some(Duration::from_millis(10)))
-            .unwrap();
-        assert_eq!(n, 0, "drained waker stops reporting");
         h.join().unwrap();
+        let n = poller
+            .wait(&mut events, 256, Some(Duration::from_millis(10)))
+            .unwrap();
+        assert_eq!(n, 1, "a woken waker keeps reporting");
     }
 
     #[test]

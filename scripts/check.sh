@@ -11,6 +11,10 @@ run() {
 
 run cargo build --release --offline --workspace --bins --examples
 run cargo test -q --offline --workspace
+# The benchmark harness is its own package outside the workspace. Its
+# smoke test fails when the program stops registering a metric the
+# benchmark reads, here rather than at benchmark time.
+run cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
 # Fixed-seed rtcheck subset: deterministic differential conformance,
 # linearizability, membership/failover spec, and shard-map property
